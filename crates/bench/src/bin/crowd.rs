@@ -93,16 +93,17 @@ fn run_row(opts: &BenchOpts, crowd: usize, workers: usize, reference: &mut Optio
         ),
         None => *reference = Some(obs),
     }
-    let njobs = spec.total_jobs();
+    // Chain-jobs, so rows with different crowd sizes compare like for like.
+    let nchains = spec.points().len() * spec.chains;
     Row {
         crowd,
         workers,
         pool,
         wall_s: report.wall_seconds,
         device_s: report.device_seconds,
-        jobs_per_s: njobs as f64 / report.wall_seconds,
+        jobs_per_s: nchains as f64 / report.wall_seconds,
         chains_per_device_s: if report.device_seconds > 0.0 {
-            njobs as f64 / report.device_seconds
+            nchains as f64 / report.device_seconds
         } else {
             0.0
         },

@@ -78,9 +78,11 @@ fn main() {
     let njobs = spec.total_jobs();
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
-        "# sched throughput: {} points x {} chains = {} jobs, {} sweeps each, {} host cores",
+        "# sched throughput: {} points x {} chains in crowds of {} = {} jobs, {} sweeps each, \
+         {} host cores",
         spec.us.len() * spec.betas.len(),
         spec.chains,
+        spec.crowd,
         njobs,
         spec.warmup + spec.sweeps,
         host_cores

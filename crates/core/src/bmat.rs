@@ -109,8 +109,8 @@ impl BMatrixFactory {
         b
     }
 
-    /// `M ← B_{l,σ} · M = e^{−ΔτK}(V·M)` without materialising B: a parallel
-    /// row scaling (the paper's §IV-B kernel) followed by a GEMM.
+    /// `M ← B_{l,σ} · M = e^{−ΔτK}(V·M)` without materialising B: a row
+    /// scaling (the paper's §IV-B kernel) followed by a GEMM.
     pub fn b_mul_left(&self, h: &HsField, l: usize, spin: Spin, m: &Matrix) -> Matrix {
         let mut out = workspace::take_matrix(self.n, m.ncols());
         self.b_mul_left_into(h, l, spin, m, &mut out);

@@ -1,20 +1,20 @@
-//! Ensemble parallelism: independent Markov chains in parallel.
+//! Ensembles: independent Markov chains with pooled measurements.
 //!
 //! The paper parallelises *inside* the linear algebra because a single
 //! Markov chain is inherently sequential. The complementary axis — running
 //! several independent chains with different seeds and pooling their
-//! measurements — costs no communication at all and multiplies statistics
-//! linearly in core count. This module provides that: each chain is a full
-//! [`Simulation`] with its own warmup (so chains are independently
-//! thermalised), run on the Rayon pool, with the accumulated observables
-//! merged bin-wise at the end.
+//! measurements — costs no communication at all. This module provides
+//! that: each chain is a full [`Simulation`] with its own warmup (so chains
+//! are independently thermalised), run one after another on the calling
+//! thread, with the accumulated observables merged bin-wise at the end.
+//! Chains run concurrently through the sweep scheduler's worker threads
+//! and the fleet's processes instead.
 
 use crate::crowd::Crowd;
 use crate::hubbard::SimParams;
 use crate::measure::Observables;
 use crate::recovery::RecoveryLog;
 use crate::sim::Simulation;
-use rayon::prelude::*;
 
 /// Result of an ensemble run.
 #[derive(Debug)]
@@ -58,25 +58,16 @@ pub fn chain_seed(base: u64, point: u64, chain: u64) -> u64 {
 /// `(params, chains)` regardless of scheduling.
 pub fn run_ensemble(params: &SimParams, chains: usize) -> EnsembleResult {
     assert!(chains >= 1, "need at least one chain");
-    // Chains are the coarse grain of the hierarchy: each chain pins the
-    // linalg kernels it drives to their serial branch so C chains never
-    // stack kernel fan-out on the one global rayon pool (lint rule R9).
-    // Bit-identical either way: par and serial kernel branches agree, and
-    // chain seeds are scheduling-independent.
-    let run_chain = |c: usize| {
-        let _serial_kernels = linalg::enter_worker_scope();
-        let p = params
-            .clone()
-            .with_seed(chain_seed(params.seed, 0, c as u64));
-        let mut sim = Simulation::new(p);
-        sim.run();
-        sim
-    };
-    let sims: Vec<Simulation> = if linalg::par_enabled(true) {
-        (0..chains).into_par_iter().map(run_chain).collect()
-    } else {
-        (0..chains).map(run_chain).collect()
-    };
+    let sims: Vec<Simulation> = (0..chains)
+        .map(|c| {
+            let p = params
+                .clone()
+                .with_seed(chain_seed(params.seed, 0, c as u64));
+            let mut sim = Simulation::new(p);
+            sim.run();
+            sim
+        })
+        .collect();
 
     let mut iter = sims.into_iter();
     let first = iter.next().expect("chains >= 1");
@@ -114,10 +105,7 @@ pub fn run_ensemble_crowd(params: &SimParams, chains: usize, crowd_size: usize) 
     assert!(chains >= 1, "need at least one chain");
     assert!(crowd_size >= 1, "need a positive crowd size");
     let ncrowds = chains.div_ceil(crowd_size);
-    // Crowds are the coarse grain here, exactly as chains are in
-    // run_ensemble: each crowd task pins its kernels serial (rule R9).
     let run_crowd = |k: usize| {
-        let _serial_kernels = linalg::enter_worker_scope();
         let c0 = k * crowd_size;
         let width = crowd_size.min(chains - c0);
         let ps: Vec<SimParams> = (c0..c0 + width)
@@ -131,11 +119,7 @@ pub fn run_ensemble_crowd(params: &SimParams, chains: usize, crowd_size: usize) 
         crowd.run();
         crowd
     };
-    let crowds: Vec<Crowd> = if linalg::par_enabled(true) {
-        (0..ncrowds).into_par_iter().map(run_crowd).collect()
-    } else {
-        (0..ncrowds).map(run_crowd).collect()
-    };
+    let crowds: Vec<Crowd> = (0..ncrowds).map(run_crowd).collect();
 
     let mut acceptance_rates = Vec::with_capacity(chains);
     let mut recovery_logs = Vec::with_capacity(chains);

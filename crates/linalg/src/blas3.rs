@@ -6,7 +6,7 @@
 //! - within a slab, A is packed into `MR`-row micro-panels and B into
 //!   `NR`-column micro-panels,
 //! - an `MR × NR` register-tile micro-kernel runs over the packed panels,
-//! - macro-tiles (`MC × NC`) are distributed over the Rayon pool.
+//! - the macro-tiles (`MC × NC`) of C are computed in turn.
 //!
 //! The micro-kernel is selected at runtime through [`crate::simd`]: an
 //! AVX2+FMA 8×6 tile on capable `x86_64` hosts, the portable scalar 8×4
@@ -26,10 +26,8 @@
 #![warn(clippy::undocumented_unsafe_blocks)]
 
 use crate::matrix::Matrix;
-use crate::parallelism::par_enabled;
 use crate::simd::{self, KernelPath};
 use crate::workspace;
-use rayon::prelude::*;
 
 /// Transpose flag for a GEMM operand.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -61,11 +59,11 @@ impl Op {
 pub(crate) const MR: usize = 8;
 /// Cache block for the k dimension.
 pub(crate) const KC: usize = 256;
-/// Cache block for the m dimension (per parallel task).
+/// Cache block for the m dimension (one macro-tile).
 pub(crate) const MC: usize = 128;
-/// Cache block for the n dimension (per parallel task).
+/// Cache block for the n dimension (one macro-tile).
 pub(crate) const NC: usize = 512;
-/// Below this flop count the blocked/parallel machinery is pure overhead.
+/// Below this flop count the blocked machinery is pure overhead.
 pub(crate) const SMALL_FLOPS: usize = 48 * 48 * 48;
 
 /// General matrix multiply: `C = alpha * op(A) * op(B) + beta * C`.
@@ -173,9 +171,6 @@ fn gemm_blocked<const NR: usize>(
     n: usize,
     k: usize,
 ) {
-    // The n cache block must stay a multiple of the micro-tile width so the
-    // packed-panel index arithmetic holds (512 for NR=4, 510 for NR=6).
-    let ncb = NC / NR * NR;
     let mut packed_a = workspace::take(padded(m, MR) * KC.min(k));
     let mut packed_b = workspace::take(KC.min(k) * padded(n, NR));
 
@@ -185,47 +180,13 @@ fn gemm_blocked<const NR: usize>(
         pack_a_full(a, opa, pc, kc, m, &mut packed_a);
         pack_b_full::<NR>(b, opb, pc, kc, n, &mut packed_b);
 
-        // Macro-tile grid over C.
-        let mblocks = m.div_ceil(MC);
-        let nblocks = n.div_ceil(ncb);
-        let cdata = SendPtr(c.as_mut_slice().as_mut_ptr());
-        let ldc = m;
-        let pa = &packed_a;
-        let pb = &packed_b;
-
-        let tile = |t: usize| {
-            let bi = t % mblocks;
-            let bj = t / mblocks;
-            let ic = bi * MC;
-            let jc = bj * ncb;
-            let mc = MC.min(m - ic);
-            let nc = ncb.min(n - jc);
-            // SAFETY: tasks write disjoint (ic..ic+mc) x (jc..jc+nc) tiles of C.
-            let cptr = cdata;
-            macro_kernel::<NR>(use_fma, alpha, pa, pb, kc, ic, jc, mc, nc, cptr.0, ldc);
-        };
-        if par_enabled(true) {
-            (0..mblocks * nblocks).into_par_iter().for_each(tile);
-        } else {
-            (0..mblocks * nblocks).for_each(tile);
-        }
+        macro_tiles::<NR>(use_fma, alpha, &packed_a, &packed_b, kc, c);
         pc += kc;
     }
 
     workspace::put(packed_a);
     workspace::put(packed_b);
 }
-
-/// Raw pointer wrapper so disjoint C tiles can be written from Rayon tasks.
-#[derive(Clone, Copy)]
-pub(crate) struct SendPtr(pub(crate) *mut f64);
-// SAFETY: SendPtr is only created in `gemm_blocked` and only dereferenced
-// inside `macro_kernel`, where each Rayon task writes a tile of C disjoint
-// from every other task's tile; no aliasing writes can occur.
-unsafe impl Send for SendPtr {}
-// SAFETY: shared references to SendPtr only copy the pointer value; all
-// dereferences go through the disjoint-tile discipline above.
-unsafe impl Sync for SendPtr {}
 
 pub(crate) fn padded(x: usize, r: usize) -> usize {
     x.div_ceil(r) * r
@@ -263,12 +224,10 @@ pub(crate) fn pack_a_full(a: &Matrix, opa: Op, pc: usize, kc: usize, m: usize, b
             }
         }
     };
-    let buf = &mut buf[..panels * kc * MR];
-    if par_enabled(true) {
-        buf.par_chunks_mut(kc * MR).enumerate().for_each(pack_panel);
-    } else {
-        buf.chunks_mut(kc * MR).enumerate().for_each(pack_panel);
-    }
+    buf[..panels * kc * MR]
+        .chunks_mut(kc * MR)
+        .enumerate()
+        .for_each(pack_panel);
 }
 
 /// Packs all NR-column micro-panels of `op(B)[pc..pc+kc, 0..n]`.
@@ -297,17 +256,40 @@ pub(crate) fn pack_b_full<const NR: usize>(
             }
         }
     };
-    let buf = &mut buf[..panels * kc * NR];
-    if par_enabled(true) {
-        buf.par_chunks_mut(kc * NR).enumerate().for_each(pack_panel);
-    } else {
-        buf.chunks_mut(kc * NR).enumerate().for_each(pack_panel);
+    buf[..panels * kc * NR]
+        .chunks_mut(kc * NR)
+        .enumerate()
+        .for_each(pack_panel);
+}
+
+/// Runs the macro-tile grid over all of C for one packed `kc` slab.
+pub(crate) fn macro_tiles<const NR: usize>(
+    use_fma: bool,
+    alpha: f64,
+    packed_a: &[f64],
+    packed_b: &[f64],
+    kc: usize,
+    c: &mut Matrix,
+) {
+    let (m, n) = (c.nrows(), c.ncols());
+    // The n cache block must stay a multiple of the micro-tile width so the
+    // packed-panel index arithmetic holds (512 for NR=4, 510 for NR=6).
+    let ncb = NC / NR * NR;
+    let cdata = c.as_mut_slice();
+    for jc in (0..n).step_by(ncb) {
+        for ic in (0..m).step_by(MC) {
+            let (mc, nc) = (MC.min(m - ic), ncb.min(n - jc));
+            macro_kernel::<NR>(
+                use_fma, alpha, packed_a, packed_b, kc, ic, jc, mc, nc, cdata, m,
+            );
+        }
     }
 }
 
-/// Computes one MC×NC macro-tile of C from packed panels.
+/// Computes one MC×NC macro-tile of C (column-major, leading dimension
+/// `ldc`) from packed panels.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn macro_kernel<const NR: usize>(
+fn macro_kernel<const NR: usize>(
     use_fma: bool,
     alpha: f64,
     packed_a: &[f64],
@@ -317,11 +299,16 @@ pub(crate) fn macro_kernel<const NR: usize>(
     jc: usize,
     mc: usize,
     nc: usize,
-    cptr: *mut f64,
+    c: &mut [f64],
     ldc: usize,
 ) {
     debug_assert_eq!(ic % MR, 0);
     debug_assert_eq!(jc % NR, 0);
+    // Once per tile: every write below lands inside C.
+    assert!(
+        ic + mc <= ldc && (jc + nc) * ldc <= c.len(),
+        "macro-tile outside C"
+    );
     let mut jr = 0;
     while jr < nc {
         let nr = NR.min(nc - jr);
@@ -337,10 +324,11 @@ pub(crate) fn macro_kernel<const NR: usize>(
                 let cj = jc + jr + j;
                 for (i, &v) in accj.iter().enumerate().take(mr) {
                     let ci = ic + ir + i;
-                    // SAFETY: ci < m, cj < n by construction; tiles disjoint
-                    // across tasks.
+                    // SAFETY: ci < ic + mc ≤ ldc and cj < jc + nc, so
+                    // cj * ldc + ci < (jc + nc) * ldc ≤ c.len() by the
+                    // tile assert above.
                     unsafe {
-                        *cptr.add(cj * ldc + ci) += alpha * v;
+                        *c.get_unchecked_mut(cj * ldc + ci) += alpha * v;
                     }
                 }
             }

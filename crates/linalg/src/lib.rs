@@ -2,7 +2,7 @@
 //!
 //! The paper's computations run on MKL's DGEMM / DGEQRF / DGEQP3 / LU. This
 //! crate is a from-scratch Rust stand-in implementing the same *algorithmic
-//! structure* — blocked level-3 kernels parallelised with Rayon, a blocked
+//! structure* — cache-blocked, packed level-3 kernels, a blocked
 //! Householder QR, a Quintana-Ortí–Sun–Bischof style QR with column pivoting
 //! whose pivot-norm updates are inherently level-2 (the very property the
 //! paper's pre-pivoting contribution works around), and partial-pivoting LU.
@@ -44,7 +44,6 @@ pub mod eig;
 pub mod expm;
 pub mod lu;
 pub mod matrix;
-pub mod parallelism;
 pub mod perm;
 pub mod qr;
 pub mod qrp;
@@ -61,7 +60,6 @@ pub use eig::SymEig;
 pub use expm::sym_expm;
 pub use lu::LuFactors;
 pub use matrix::Matrix;
-pub use parallelism::{enter_worker_scope, in_worker_scope, par_enabled, WorkerScope};
 pub use perm::Permutation;
 pub use qr::QrFactors;
 pub use qrp::QrpFactors;

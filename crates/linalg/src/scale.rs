@@ -1,5 +1,5 @@
 //! Diagonal scalings and column norms — the paper's hand-written OpenMP
-//! kernels (§IV-B), here parallelised with Rayon.
+//! kernels (§IV-B), here as sequential column loops.
 //!
 //! In the stratification loop these level-2 operations are not negligible
 //! (total cost O(N²L) against O(N³L) level-3 work at modest N), so the paper
@@ -7,58 +7,36 @@
 //!
 //! - `row_scale`: `A ← diag(d) · A` (the `V_i` factor of `B_i = V_i B`),
 //! - `col_scale`: `A ← A · diag(d)` (the `D_{i−1}` factor of step 3a),
-//! - `col_norms`: one norm per column, several columns per task (the
-//!   pre-pivoting key computation of Algorithm 3).
+//! - `col_norms`: one norm per column (the pre-pivoting key computation
+//!   of Algorithm 3).
 //!
 //! This module is tagged `deny_hot_alloc`: `cargo xtask lint` rejects heap
 //! allocation in its non-test code unless a pragma justifies it.
 #![cfg_attr(any(), deny_hot_alloc)]
 
 use crate::matrix::Matrix;
-use crate::parallelism::par_enabled;
-use rayon::prelude::*;
-
-/// Element count above which the scalings dispatch to the thread pool.
-const PAR_MIN: usize = 32 * 1024;
 
 /// `A ← diag(d) · A` — scales row `i` by `d[i]`.
 pub fn row_scale(d: &[f64], a: &mut Matrix) {
     let m = a.nrows();
     assert_eq!(d.len(), m, "row_scale: diagonal length mismatch");
     crate::check_finite!(d, "row_scale diagonal (len {m})");
-    let work = |col: &mut [f64]| {
+    for col in a.as_mut_slice().chunks_mut(m) {
         for (i, x) in col.iter_mut().enumerate() {
             *x *= d[i];
         }
-    };
-    if par_enabled(a.as_slice().len() >= PAR_MIN) {
-        a.as_mut_slice().par_chunks_mut(m).for_each(work);
-    } else {
-        a.as_mut_slice().chunks_mut(m).for_each(work);
     }
 }
 
 /// `A ← A · diag(d)` — scales column `j` by `d[j]`.
 pub fn col_scale(d: &[f64], a: &mut Matrix) {
-    let m = a.nrows();
     let n = a.ncols();
     assert_eq!(d.len(), n, "col_scale: diagonal length mismatch");
     crate::check_finite!(d, "col_scale diagonal (len {n})");
-    if par_enabled(a.as_slice().len() >= PAR_MIN) {
-        a.as_mut_slice()
-            .par_chunks_mut(m)
-            .zip(d.par_iter())
-            .for_each(|(col, &dj)| {
-                for x in col.iter_mut() {
-                    *x *= dj;
-                }
-            });
-    } else {
-        for j in 0..n {
-            let dj = d[j];
-            for x in a.col_mut(j) {
-                *x *= dj;
-            }
+    for j in 0..n {
+        let dj = d[j];
+        for x in a.col_mut(j) {
+            *x *= dj;
         }
     }
 }
@@ -73,7 +51,7 @@ pub fn row_scale_inv(d: &[f64], a: &mut Matrix) {
     row_scale(&inv, a);
 }
 
-/// Euclidean norm of every column, computed in parallel.
+/// Euclidean norm of every column.
 ///
 /// Uses the overflow-safe scaled accumulation of [`crate::blas1::nrm2`]:
 /// the graded matrices of the stratification have column norms spanning
@@ -82,11 +60,7 @@ pub fn row_scale_inv(d: &[f64], a: &mut Matrix) {
 // reuse it as the pre-pivoting key buffer.
 pub fn col_norms(a: &Matrix) -> Vec<f64> {
     let m = a.nrows();
-    let norms: Vec<f64> = if par_enabled(a.as_slice().len() >= PAR_MIN) {
-        a.as_slice().par_chunks(m).map(crate::blas1::nrm2).collect()
-    } else {
-        a.as_slice().chunks(m).map(crate::blas1::nrm2).collect()
-    };
+    let norms: Vec<f64> = a.as_slice().chunks(m).map(crate::blas1::nrm2).collect();
     crate::check_finite!(&norms, "col_norms output ({m}x{})", a.ncols());
     norms
 }
@@ -98,18 +72,10 @@ pub fn row_col_scale(r: &[f64], c: &[f64], a: &mut Matrix) {
     assert_eq!(c.len(), a.ncols(), "row_col_scale: col diagonal mismatch");
     crate::check_finite!(r, "row_col_scale row diagonal (len {m})");
     crate::check_finite!(c, "row_col_scale col diagonal (len {})", c.len());
-    let work = |(col, &cj): (&mut [f64], &f64)| {
+    for (col, &cj) in a.as_mut_slice().chunks_mut(m).zip(c) {
         for (i, x) in col.iter_mut().enumerate() {
             *x *= r[i] * cj;
         }
-    };
-    if par_enabled(a.as_slice().len() >= PAR_MIN) {
-        a.as_mut_slice()
-            .par_chunks_mut(m)
-            .zip(c.par_iter())
-            .for_each(work);
-    } else {
-        a.as_mut_slice().chunks_mut(m).zip(c.iter()).for_each(work);
     }
 }
 
@@ -164,30 +130,6 @@ mod tests {
         let norms = col_norms(&a);
         for j in 0..12 {
             assert!((norms[j] - crate::blas1::nrm2(a.col(j))).abs() < 1e-15);
-        }
-    }
-
-    #[test]
-    fn parallel_paths_match_serial() {
-        // Big enough to trigger PAR_MIN.
-        let mut rng = Rng::new(5);
-        let a0 = Matrix::random(256, 256, &mut rng);
-        let d: Vec<f64> = (0..256).map(|i| (i as f64 * 0.37).cos() + 2.0).collect();
-
-        let mut a_big = a0.clone();
-        row_scale(&d, &mut a_big);
-        // serial reference via per-element loop
-        let mut a_ref = a0.clone();
-        for j in 0..256 {
-            for i in 0..256 {
-                a_ref[(i, j)] *= d[i];
-            }
-        }
-        assert!(a_big.max_abs_diff(&a_ref) < 1e-15);
-
-        let norms = col_norms(&a0);
-        for j in 0..256 {
-            assert!((norms[j] - crate::blas1::nrm2(a0.col(j))).abs() < 1e-12);
         }
     }
 

@@ -3,19 +3,13 @@
 //! The stratification T-matrix update `T_i = (D_i⁻¹ R_i)(P_iᵀ T_{i−1})` is an
 //! upper-triangular times dense product, and the final Green's-function
 //! assembly solves a dense system via LU, whose forward/back substitutions
-//! live here. Right-hand-side columns are independent, so the solves
-//! parallelise over the Rayon pool.
+//! live here. Each right-hand-side column is solved on its own, in turn.
 //!
 //! This module is tagged `deny_hot_alloc`: `cargo xtask lint` rejects heap
 //! allocation in its non-test code unless a pragma justifies it.
 #![cfg_attr(any(), deny_hot_alloc)]
 
 use crate::matrix::Matrix;
-use crate::parallelism::par_enabled;
-use rayon::prelude::*;
-
-/// Minimum RHS-columns × order before parallel dispatch pays off.
-const PAR_THRESHOLD: usize = 64 * 64;
 
 /// `B := L⁻¹ B` with `L` unit lower triangular (strictly-lower part of `a`
 /// is used; the diagonal is taken as 1). Forward substitution.
@@ -23,7 +17,8 @@ pub fn trsm_lower_unit(a: &Matrix, b: &mut Matrix) {
     let n = a.nrows();
     assert!(a.is_square(), "trsm: L must be square");
     assert_eq!(b.nrows(), n, "trsm: B row mismatch");
-    let solve_col = |col: &mut [f64]| {
+    for j in 0..b.ncols() {
+        let col = b.col_mut(j);
         for i in 0..n {
             let xi = col[i];
             if xi != 0.0 {
@@ -33,8 +28,7 @@ pub fn trsm_lower_unit(a: &Matrix, b: &mut Matrix) {
                 }
             }
         }
-    };
-    run_cols(b, n, solve_col);
+    }
     crate::check_finite!(b.as_slice(), "trsm_lower_unit output ({n}x{})", b.ncols());
 }
 
@@ -44,7 +38,8 @@ pub fn trsm_upper(a: &Matrix, b: &mut Matrix) {
     let n = a.nrows();
     assert!(a.is_square(), "trsm: U must be square");
     assert_eq!(b.nrows(), n, "trsm: B row mismatch");
-    let solve_col = |col: &mut [f64]| {
+    for j in 0..b.ncols() {
+        let col = b.col_mut(j);
         for i in (0..n).rev() {
             let d = a[(i, i)];
             assert!(d != 0.0, "trsm_upper: zero diagonal at {i}");
@@ -57,8 +52,7 @@ pub fn trsm_upper(a: &Matrix, b: &mut Matrix) {
                 }
             }
         }
-    };
-    run_cols(b, n, solve_col);
+    }
     crate::check_finite!(b.as_slice(), "trsm_upper output ({n}x{})", b.ncols());
 }
 
@@ -67,7 +61,8 @@ pub fn trmm_upper(a: &Matrix, b: &mut Matrix) {
     let n = a.nrows();
     assert!(a.is_square(), "trmm: U must be square");
     assert_eq!(b.nrows(), n, "trmm: B row mismatch");
-    let mul_col = |col: &mut [f64]| {
+    for j in 0..b.ncols() {
+        let col = b.col_mut(j);
         // In-place top-down: row i of the result only needs rows ≥ i of B.
         for i in 0..n {
             let mut s = a[(i, i)] * col[i];
@@ -76,8 +71,7 @@ pub fn trmm_upper(a: &Matrix, b: &mut Matrix) {
             }
             col[i] = s;
         }
-    };
-    run_cols(b, n, mul_col);
+    }
     crate::check_finite!(b.as_slice(), "trmm_upper output ({n}x{})", b.ncols());
 }
 
@@ -86,7 +80,8 @@ pub fn trmm_upper_t(a: &Matrix, b: &mut Matrix) {
     let n = a.nrows();
     assert!(a.is_square(), "trmm: U must be square");
     assert_eq!(b.nrows(), n, "trmm: B row mismatch");
-    let mul_col = |col: &mut [f64]| {
+    for j in 0..b.ncols() {
+        let col = b.col_mut(j);
         // Row i of Uᵀ has entries U[p, i] for p ≤ i; go bottom-up.
         for i in (0..n).rev() {
             let acol = a.col(i);
@@ -96,21 +91,8 @@ pub fn trmm_upper_t(a: &Matrix, b: &mut Matrix) {
             }
             col[i] = s;
         }
-    };
-    run_cols(b, n, mul_col);
-    crate::check_finite!(b.as_slice(), "trmm_upper_t output ({n}x{})", b.ncols());
-}
-
-/// Runs a per-column kernel serially or in parallel depending on size.
-fn run_cols(b: &mut Matrix, n: usize, f: impl Fn(&mut [f64]) + Sync) {
-    let ncols = b.ncols();
-    if par_enabled(n * ncols >= PAR_THRESHOLD && ncols > 1) {
-        b.as_mut_slice().par_chunks_mut(n).for_each(&f);
-    } else {
-        for j in 0..ncols {
-            f(b.col_mut(j));
-        }
     }
+    crate::check_finite!(b.as_slice(), "trmm_upper_t output ({n}x{})", b.ncols());
 }
 
 /// Inverse of an upper-triangular matrix (used by tests and the recycling
@@ -221,25 +203,6 @@ mod tests {
         let mut reference = Matrix::zeros(n, 4);
         gemm_naive(1.0, &u, Op::Trans, &b0, Op::NoTrans, 0.0, &mut reference);
         assert!(b.max_abs_diff(&reference) < 1e-12);
-    }
-
-    #[test]
-    fn parallel_path_consistent() {
-        // Large enough to hit the parallel branch.
-        let n = 80;
-        let u = random_upper(n, 11);
-        let mut rng = Rng::new(12);
-        let b0 = Matrix::random(n, 80, &mut rng);
-        let mut b_par = b0.clone();
-        trsm_upper(&u, &mut b_par);
-        // Column-by-column serial reference.
-        let mut b_ser = Matrix::zeros(n, 80);
-        for j in 0..80 {
-            let mut col = Matrix::from_col_major(n, 1, b0.col(j).to_vec());
-            trsm_upper(&u, &mut col);
-            b_ser.col_mut(j).copy_from_slice(col.col(0));
-        }
-        assert!(b_par.max_abs_diff(&b_ser) < 1e-14);
     }
 
     #[test]

@@ -6,19 +6,17 @@
 //! IPDPS 2011) — the kernel the authors planned to move the stratification
 //! onto. TSQR factors an `m × n` panel (`m ≫ n`) by QR-ing independent row
 //! blocks and combining the small R factors up a binary tree; each block
-//! factorization is independent, so the tree parallelises with no
-//! inter-block communication until the (tiny) combine steps.
+//! factorization is independent, so the tree needs no inter-block
+//! communication until the (tiny) combine steps.
 //!
-//! Here the row-block factorizations run on the Rayon pool, and the
+//! Here the row-block factorizations run one after another, and the
 //! explicit thin Q is reconstructed down the tree. Same `A = Q R`
 //! contract as [`crate::qr`] (R's diagonal sign convention may differ;
 //! both are valid QRs).
 
 use crate::blas3::{gemm, Op};
 use crate::matrix::Matrix;
-use crate::parallelism::par_enabled;
 use crate::qr::qr_in_place;
-use rayon::prelude::*;
 
 /// Result of a TSQR factorization: thin, explicit factors.
 #[derive(Clone, Debug)]
@@ -45,7 +43,7 @@ pub fn tsqr(a: &Matrix, block_rows: usize) -> Tsqr {
         return Tsqr { q, r };
     }
 
-    // Level 0: independent QRs of the row blocks (parallel). The last block
+    // Level 0: independent QRs of the row blocks. The last block
     // absorbs the remainder so every block stays tall (≥ br ≥ n rows).
     let blocks: Vec<(usize, usize)> = (0..nblocks)
         .map(|b| {
@@ -58,11 +56,7 @@ pub fn tsqr(a: &Matrix, block_rows: usize) -> Tsqr {
         let f = qr_in_place(a.submatrix(lo, 0, hi - lo, n));
         (thin_q(&f, n), thin_r(&f.a, n))
     };
-    let level0: Vec<(Matrix, Matrix)> = if par_enabled(true) {
-        blocks.par_iter().map(leaf_qr).collect()
-    } else {
-        blocks.iter().map(leaf_qr).collect()
-    };
+    let level0: Vec<(Matrix, Matrix)> = blocks.iter().map(leaf_qr).collect();
 
     // Combine up a binary tree; record the combine Qs to rebuild Q later.
     // state: per surviving leaf range, the current R; tree: per level, the
@@ -80,11 +74,7 @@ pub fn tsqr(a: &Matrix, block_rows: usize) -> Tsqr {
             let f = qr_in_place(stack);
             (thin_q(&f, n), thin_r(&f.a, n))
         };
-        let combined: Vec<(Matrix, Matrix)> = if par_enabled(true) {
-            (0..pairs).into_par_iter().map(combine_pair).collect()
-        } else {
-            (0..pairs).map(combine_pair).collect()
-        };
+        let combined: Vec<(Matrix, Matrix)> = (0..pairs).map(combine_pair).collect();
         let mut level: Vec<Option<Matrix>> = Vec::with_capacity(pairs + 1);
         let mut next_rs = Vec::with_capacity(pairs + 1);
         for (q, r) in combined {
@@ -127,9 +117,9 @@ pub fn tsqr(a: &Matrix, block_rows: usize) -> Tsqr {
     }
     debug_assert_eq!(coeff.len(), nblocks);
 
-    // Q = block-diagonal(level-0 Qs) · coeff, assembled blockwise (parallel).
+    // Q = block-diagonal(level-0 Qs) · coeff, assembled blockwise.
     let mut q = Matrix::zeros(m, n);
-    let assemble_block = |(b, &(lo, hi)): (usize, &(usize, usize))| {
+    for (b, &(lo, hi)) in blocks.iter().enumerate() {
         let mut piece = Matrix::zeros(hi - lo, n);
         gemm(
             1.0,
@@ -140,14 +130,6 @@ pub fn tsqr(a: &Matrix, block_rows: usize) -> Tsqr {
             0.0,
             &mut piece,
         );
-        (lo, piece)
-    };
-    let parts: Vec<(usize, Matrix)> = if par_enabled(true) {
-        blocks.par_iter().enumerate().map(assemble_block).collect()
-    } else {
-        blocks.iter().enumerate().map(assemble_block).collect()
-    };
-    for (lo, piece) in parts {
         q.set_submatrix(lo, 0, &piece);
     }
     crate::check_orthogonal!(&q, 1e-11 * m.max(4) as f64, "tsqr assembled Q ({m}x{n})");

@@ -201,3 +201,141 @@ fn factorizations_identical_numerics_across_paths() {
         assert!(w[0].abs() >= w[1].abs() * (1.0 - 1e-9), "R diagonal graded");
     }
 }
+
+/// Folds a slice of `f64` bit patterns into an FNV-1a digest.
+fn digest(xs: &[f64]) -> u64 {
+    let mut h = util::Fnv1a::new();
+    for &x in xs {
+        h.update_f64(x);
+    }
+    h.finish()
+}
+
+/// Seeded runs of the GEMM, strided-batch, pivoted-QR, TSQR, scaling and
+/// triangular kernels at N = 300. Each entry is the FNV-1a digest of the
+/// kernel's output bytes.
+fn kernel_digests() -> Vec<(&'static str, u64)> {
+    use linalg::{dgemm_strided_batched, qrp_batched, GemmOperand};
+    let n = 300;
+    let mut rng = util::Rng::new(900);
+    let a = Matrix::random(n, n, &mut rng);
+    let b = Matrix::random(n, n, &mut rng);
+    let mut out = Vec::new();
+
+    let mut c = Matrix::random(n, n, &mut rng);
+    linalg::gemm(0.75, &a, Op::NoTrans, &b, Op::Trans, 0.5, &mut c);
+    out.push(("gemm", digest(c.as_slice())));
+
+    let bs: Vec<Matrix> = (0..3).map(|_| Matrix::random(n, n, &mut rng)).collect();
+    let brefs: Vec<&Matrix> = bs.iter().collect();
+    let mut cs: Vec<Matrix> = (0..3).map(|_| Matrix::zeros(n, n)).collect();
+    let mut crefs: Vec<&mut Matrix> = cs.iter_mut().collect();
+    dgemm_strided_batched(
+        1.0,
+        GemmOperand::Shared(&a),
+        Op::NoTrans,
+        GemmOperand::Each(&brefs),
+        Op::Trans,
+        0.0,
+        &mut crefs,
+    );
+    let flat: Vec<f64> = cs.iter().flat_map(|c| c.as_slice().to_vec()).collect();
+    out.push(("dgemm_strided_batched", digest(&flat)));
+
+    let qrp_digest = |f: &linalg::QrpFactors| {
+        let mut h = util::Fnv1a::new();
+        h.update_u64(digest(f.a.as_slice()));
+        h.update_u64(digest(&f.tau));
+        for &p in &f.jpvt {
+            h.update_u64(p as u64);
+        }
+        h.finish()
+    };
+    out.push((
+        "qrp_in_place",
+        qrp_digest(&linalg::qrp::qrp_in_place(a.clone())),
+    ));
+    let mut h = util::Fnv1a::new();
+    for f in &qrp_batched(bs.clone()) {
+        h.update_u64(qrp_digest(f));
+    }
+    out.push(("qrp_batched", h.finish()));
+
+    // 8 leaf blocks: three combine levels.
+    let tall = Matrix::random(1200, 48, &mut rng);
+    let t = linalg::tsqr(&tall, 150);
+    let mut h = util::Fnv1a::new();
+    h.update_u64(digest(t.q.as_slice()));
+    h.update_u64(digest(t.r.as_slice()));
+    out.push(("tsqr", h.finish()));
+
+    let d: Vec<f64> = (0..n).map(|i| 0.5 + i as f64 / n as f64).collect();
+    let e: Vec<f64> = (0..n).map(|i| 2.0 - i as f64 / n as f64).collect();
+    let mut s = a.clone();
+    linalg::scale::row_scale(&d, &mut s);
+    linalg::scale::col_scale(&e, &mut s);
+    linalg::scale::row_scale_inv(&e, &mut s);
+    linalg::scale::row_col_scale(&e, &d, &mut s);
+    let mut h = util::Fnv1a::new();
+    h.update_u64(digest(s.as_slice()));
+    h.update_u64(digest(&linalg::scale::col_norms(&s)));
+    out.push(("scale", h.finish()));
+
+    // Well-conditioned triangles: a damped unit-lower L and a diagonally
+    // dominant upper U.
+    let l = Matrix::from_fn(n, n, |i, j| a[(i, j)] / n as f64);
+    let u = Matrix::from_fn(n, n, |i, j| match i.cmp(&j) {
+        std::cmp::Ordering::Less => a[(i, j)] / n as f64,
+        std::cmp::Ordering::Equal => 2.0 + a[(i, i)].abs(),
+        std::cmp::Ordering::Greater => 0.0,
+    });
+    let mut x = b.clone();
+    linalg::tri::trsm_lower_unit(&l, &mut x);
+    linalg::tri::trsm_upper(&u, &mut x);
+    linalg::tri::trmm_upper(&u, &mut x);
+    linalg::tri::trmm_upper_t(&u, &mut x);
+    out.push(("tri", digest(x.as_slice())));
+    out
+}
+
+/// Output bytes recorded per micro-kernel path. Any change to a kernel's
+/// loop schedule must leave these unchanged: the byte-identity tiers only
+/// compare two runs of one build, so this is the check that spans builds.
+const GOLDEN_SCALAR: &[(&str, u64)] = &[
+    ("gemm", 0x24a8d8891053dd50),
+    ("dgemm_strided_batched", 0x5432a99ad30d119b),
+    ("qrp_in_place", 0xc6194c66d2268599),
+    ("qrp_batched", 0xde01ca6fb0b01c8b),
+    ("tsqr", 0xaf55ac1260df52b6),
+    ("scale", 0xfa715b4263229e96),
+    ("tri", 0xc320633bfd3786e6),
+];
+const GOLDEN_FMA: &[(&str, u64)] = &[
+    ("gemm", 0x849c6802d7416ed8),
+    ("dgemm_strided_batched", 0x4a5112a3d9962d82),
+    ("qrp_in_place", 0xc8ece7f6532f2685),
+    ("qrp_batched", 0x750578f7613f7d17),
+    ("tsqr", 0x9c22cf251a8dbd1b),
+    ("scale", 0xfa715b4263229e96),
+    ("tri", 0xc320633bfd3786e6),
+];
+
+#[test]
+fn kernel_outputs_match_golden_digests() {
+    let golden = match linalg::kernel_path() {
+        KernelPath::Scalar => GOLDEN_SCALAR,
+        KernelPath::Fma => GOLDEN_FMA,
+    };
+    let got = kernel_digests();
+    let shown: Vec<String> = got
+        .iter()
+        .map(|(k, d)| format!("(\"{k}\", {d:#018x}),"))
+        .collect();
+    assert_eq!(
+        got,
+        golden,
+        "{:?} kernel digests changed:\n{}",
+        linalg::kernel_path(),
+        shown.join("\n")
+    );
+}

@@ -316,9 +316,10 @@ impl GridSpec {
         pts
     }
 
-    /// Total jobs the campaign schedules.
+    /// Total jobs the campaign schedules: one per crowd of up to `crowd`
+    /// consecutive chains at each point (the tail crowd may be narrower).
     pub fn total_jobs(&self) -> usize {
-        self.us.len() * self.betas.len() * self.chains
+        self.us.len() * self.betas.len() * self.chains.div_ceil(self.crowd.max(1))
     }
 
     /// The simulation parameters for one chain of one point, with the
@@ -582,6 +583,14 @@ mod tests {
         assert_eq!(pts[1].slices, 16);
         assert_eq!(pts[2].index, 2);
         assert_eq!(pts[2].u, 4.0);
+    }
+
+    #[test]
+    fn crowd_jobs_cover_consecutive_chains() {
+        // 4 points × 10 chains in crowds of 4: widths 4, 4, 2 per point.
+        let spec = GridSpec::parse(&SMOKE.replace("chains = 2", "chains = 10\ncrowd = 4")).unwrap();
+        assert_eq!(spec.crowd, 4);
+        assert_eq!(spec.total_jobs(), 4 * 3);
     }
 
     #[test]

